@@ -73,6 +73,8 @@ from repro.parallel import (
     ParallelConfig,
     align_pairs,
     align_reads,
+    map_batches,
+    pack_batch,
     seed_reads,
 )
 from repro.seeding import SeedingParams
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay through the scalar engine or the "
                               "batched vector kernels; defaults to "
                               "whatever the slowlog record says the run "
-                              "used (else scalar)")
+                              "used (else $REPRO_KERNELS, else scalar)")
     explain.add_argument("--min-seed-len", type=int, default=19)
     explain.add_argument("--max-hits", type=int, default=500)
     explain.add_argument(
@@ -447,7 +449,7 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_index_stats(args) -> int:
-    index = load_ert(args.index)
+    index = load_index_cached(args.index)
     census = index_census(index)
     print(f"reference      : {index.reference.name} "
           f"({len(index.reference):,} bp)")
@@ -494,10 +496,17 @@ def _index_fingerprint(path, size):
     return crc
 
 
+class _UsageError(Exception):
+    """Bad user input: :func:`main` reports it as one stderr line and
+    exits 2, like an argparse error."""
+
+
 def load_index_cached(path):
     """Load a persisted ERT, reusing the in-process copy while the file
     is unchanged (same resolved path, inode, size, mtime and first/last
-    page content)."""
+    page content).  A missing file raises :class:`_UsageError`."""
+    if not os.path.isfile(path):
+        raise _UsageError(f"index file not found: {path}")
     stat = os.stat(path)
     key = (os.path.abspath(path), stat.st_ino, stat.st_mtime_ns,
            stat.st_size, _index_fingerprint(path, stat.st_size))
@@ -594,79 +603,27 @@ def _cmd_report(args) -> int:
 
 
 def _explain_replay(args, read, kernels: str = "scalar") -> "dict | None":
-    """Replay ``read`` through the engine exactly as the batch scheduler
-    would run it and return the captured exemplar record.
+    """Replay ``read`` through the batch scheduler's own runner as a
+    one-read batch and return the captured exemplar record.
 
-    ``kernels="vector"`` drives the batched kernels at batch size 1; the
-    per-read kernel counters are batch-composition invariant, so the
-    replayed record matches what a full vector batch recorded for this
-    read field-for-field.
+    The per-read counters on both backends are batch-composition
+    invariant, so the record matches what the original run recorded for
+    this read field for field (``wall_ms`` aside).
     """
-    from repro.extend.pipeline import ReadAligner
-    from repro.kernels import (
-        KernelBatchStats,
-        batched_banded_sw,
-        batched_sw_traceback,
-        seed_batch,
-        vector_decline_reason,
-    )
-    from repro.parallel.scheduler import (
-        instrumented_align_sam,
-        instrumented_seed_batch,
-        instrumented_seed_read,
-    )
-
     # Mirror the CLI seeding path: the scheduler builds the engine with
     # gather_limit=500 and the per-seed hit cap rides in SeedingParams.
     engine = ErtSeedingEngine(load_index_cached(args.index),
                               gather_limit=500)
-    if kernels == "vector":
-        reason = vector_decline_reason(engine)
-        if reason is not None:
-            print(f"vector replay unavailable ({reason}); "
-                  f"falling back to scalar", file=sys.stderr)
-            kernels = "scalar"
+    params = (SeedingParams(min_seed_len=args.min_seed_len,
+                            max_hits_per_seed=args.max_hits)
+              if args.task == "seed"
+              else SeedingParams(min_seed_len=args.min_seed_len))
     telemetry.reset()
     telemetry.enable()
     try:
-        engine.reset_stats()
-        engine.begin_batch([read.codes])
-        if args.task == "seed":
-            params = SeedingParams(min_seed_len=args.min_seed_len,
-                                   max_hits_per_seed=args.max_hits)
-            if kernels == "vector":
-                instrumented_seed_batch(engine, [read.name],
-                                        [read.codes], params)
-            else:
-                instrumented_seed_read(engine, read.name, read.codes,
-                                       params)
-        else:
-            params = SeedingParams(min_seed_len=args.min_seed_len)
-            vec = kernels == "vector"
-            aligner = ReadAligner(engine.index.reference, engine,
-                                  params=params,
-                                  sw_batch=batched_banded_sw if vec
-                                  else None,
-                                  tb_batch=batched_sw_traceback if vec
-                                  else None)
-            if vec:
-                # One-read replica of the scheduler's vector align
-                # batch: batched seeding under a probe, then the
-                # instrumented extension with the read's seed counters
-                # and wall share folded in.
-                probe = telemetry.read_probe()
-                stats = KernelBatchStats(1)
-                seeded = seed_batch(engine, [read.codes], params,
-                                    stats=stats)
-                shares = stats.wall_shares(telemetry.probe_ms(probe))
-                instrumented_align_sam(
-                    aligner, read.codes, read.name, read.quality,
-                    seeding=seeded[0],
-                    seed_counters=stats.read_counters(0),
-                    seed_ms=float(shares[0]))
-            else:
-                instrumented_align_sam(aligner, read.codes, read.name,
-                                       read.quality)
+        list(map_batches(("local", engine), args.task,
+                         {"params": params, "kernels": kernels},
+                         [pack_batch([read])], ParallelConfig(workers=1)))
         snap = telemetry.snapshot()
     finally:
         telemetry.disable()
@@ -694,16 +651,17 @@ def _cmd_explain(args) -> int:
         print(f"read {args.read_id!r} not found in {args.reads}",
               file=sys.stderr)
         return 2
-    # Peek at the slowlog record first: when the run used the vector
-    # kernels the record says so, and the replay must go through the
-    # same path for the counters to be comparable.  Without a slowlog
-    # to consult, fall back to the usual $REPRO_KERNELS resolution so
-    # an explain run in a vector environment replays vector.
+    # Peek at the slowlog record first: it names the backend the run
+    # used (scalar records omit the tag), and the replay must go through
+    # the same path for the counters to be comparable.  Without a
+    # record to consult, fall back to the usual $REPRO_KERNELS
+    # resolution so an explain run in a vector environment replays
+    # vector.
     recorded = (_load_slowlog_entry(args.slowlog, args.read_id,
                                     args.task)
                 if args.slowlog else None)
-    kernels = (args.kernels or (recorded or {}).get("kernels")
-               or resolve_kernels())
+    kernels = args.kernels or (resolve_kernels() if recorded is None
+                               else recorded.get("kernels", "scalar"))
     rec = _explain_replay(args, reads[0], kernels=kernels)
     if rec is None:
         print("replay recorded no exemplar (telemetry disabled?)",
@@ -824,7 +782,11 @@ _COMMANDS = {
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"ert-repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

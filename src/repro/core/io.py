@@ -67,6 +67,16 @@ PathLike = Union[str, "os.PathLike[str]"]
 # ----------------------------------------------------------------------
 
 
+def _blob_sizes(index: ErtIndex) -> "dict[int, int]":
+    """Every tree's blob size: the distance from its base to the next
+    larger base (or the region end), from one pass over the sorted
+    distinct bases."""
+    starts = sorted(set(index.tree_base.values()))
+    ends = dict(zip(starts, starts[1:] + [index.trees_region.size]))
+    return {code: ends[base] - base
+            for code, base in index.tree_base.items()}
+
+
 def _encode_trees(
     index: ErtIndex,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, bytes]":
@@ -79,10 +89,11 @@ def _encode_trees(
     blobs = bytearray(index.trees_region.size)
     bases = np.empty(len(codes), dtype=np.int64)
     sizes = np.empty(len(codes), dtype=np.int64)
+    blob_sizes = _blob_sizes(index)
     for i, code in enumerate(codes):
         root = index.roots[code]
         base = index.tree_base[code]
-        blob_size = _blob_size(index, code)
+        blob_size = blob_sizes[code]
         encoded = encode_tree(root, blob_size,
                               index.config.prefix_merging)
         blobs[base:base + blob_size] = encoded
@@ -173,7 +184,8 @@ def _assemble_index(meta: "Mapping[str, object]",
 
 
 def save_ert(index: ErtIndex, path: PathLike) -> None:
-    """Write an ERT index to ``path`` (a ``.npz`` archive)."""
+    """Write an ERT index to exactly ``path`` as an ``.npz`` archive
+    (no ``.npz`` suffix is appended)."""
     codes, bases, sizes, blobs = _encode_trees(index)
     arrays = {
         "meta_json": np.frombuffer(json.dumps(_meta_dict(index)).encode(),
@@ -190,15 +202,8 @@ def save_ert(index: ErtIndex, path: PathLike) -> None:
     }
     for length, counts in enumerate(index.prefix_counts, start=1):
         arrays[f"prefix_counts_{length}"] = counts
-    np.savez_compressed(path, **arrays)
-
-
-def _blob_size(index: ErtIndex, code: int) -> int:
-    """Size of one tree's blob: distance to the next base (or region end)."""
-    base = index.tree_base[code]
-    larger = [b for b in index.tree_base.values() if b > base]
-    end = min(larger) if larger else index.trees_region.size
-    return end - base
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
 
 
 def load_ert(path: PathLike) -> ErtIndex:

@@ -9,7 +9,7 @@ workload that the SeedEx model (Table VI) consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -83,9 +83,8 @@ class ReadAligner:
         #: of :func:`repro.kernels.sw.batched_banded_sw`.  When set,
         #: :meth:`align` extends all of a read's SW-bound chains in one
         #: wavefront call instead of one row-wise SW per chain -- same
-        #: scores, same coordinates.  Injected by callers (the parallel
-        #: scheduler, the CLI) because the extend layer sits below
-        #: ``repro.kernels`` in the import DAG.
+        #: scores, same coordinates.  Injected by callers because the
+        #: extend layer sits below ``repro.kernels`` in the import DAG.
         self.sw_batch = sw_batch
         #: Optional batched *traceback* kernel with the calling
         #: convention of :func:`repro.kernels.traceback.
@@ -93,8 +92,8 @@ class ReadAligner:
         #: (:meth:`align_sam`, :meth:`align_sam_multi`, and the paired
         #: candidate sweep) trace all of a read's surviving chains in
         #: one wavefront call instead of one scalar traceback per chain
-        #: -- same records byte for byte.  Injected alongside
-        #: ``sw_batch`` for the same layering reason.
+        #: -- same records byte for byte.  Injected by the batch runners
+        #: for the same layering reason.
         self.tb_batch = tb_batch
         self._text = reference.both_strands
         # One workspace per aligner: the SW kernel's row buffers are
@@ -277,42 +276,24 @@ class ReadAligner:
     def align_sam(self, read: np.ndarray, name: str = "read",
                   quality: str = "",
                   seeding: "SeedingResult | None" = None) -> SamRecord:
-        """Align one read and emit a SAM record with a real CIGAR.
-
-        The best and runner-up chains are both extended with the
-        traceback kernel so mapping quality can reflect uniqueness.
-        ``seeding`` injects a precomputed seeding result (the batched
-        kernel path); the record is identical either way.
-        """
-        with telemetry.span("align"):
-            result = seeding if seeding is not None \
-                else seed_read(self.engine, read, self.params)
-            with telemetry.span("chain"):
-                chains = chain_seeds(result.all_seeds)
-            self._begin_read_stats(result.all_seeds, chains)
-            quality = quality or "I" * int(read.size)
-            with telemetry.span("extend"):
-                candidates = self._trace_chains(
-                    read, chains[:self.max_chains_extended])
-            self._record_read_metrics(len(result.all_seeds), len(chains),
-                                      mapped=bool(candidates))
-        if not candidates:
-            return unmapped_record(name, decode(read), quality)
-        candidates.sort(key=lambda c: -c[0])
-        best_score, strand, position, cigar = candidates[0]
-        runner_up = candidates[1][0] if len(candidates) > 1 else 0
-        mapq = mapq_from_scores(best_score, runner_up, int(read.size))
-        return mapped_record(name, decode(read), quality, self.reference,
-                             strand, position, cigar, best_score, mapq)
+        """Align one read and emit its primary SAM record (a real CIGAR;
+        mapping quality from the best and runner-up chain extensions).
+        ``seeding`` injects a precomputed seeding result (how the batch
+        runners feed the seed stage's output); the record is identical
+        either way."""
+        return self.align_sam_multi(read, name, quality, max_secondary=0,
+                                    seeding=seeding)[0]
 
     def align_sam_multi(self, read: np.ndarray, name: str = "read",
                         quality: str = "", max_secondary: int = 3,
                         seeding: "SeedingResult | None" = None
                         ) -> "list[SamRecord]":
-        """Like :meth:`align_sam` but also emits secondary records
-        (FLAG 0x100) for distinct runner-up placements, as read aligners
-        do for multi-mapping reads in repeats."""
-        from dataclasses import replace as _replace
+        """The primary record followed by up to ``max_secondary``
+        secondary records (FLAG 0x100) for distinct runner-up
+        placements, as read aligners do for multi-mapping reads in
+        repeats.  The best and runner-up chains are both extended with
+        the traceback kernel so mapping quality can reflect
+        uniqueness."""
         with telemetry.span("align"):
             result = seeding if seeding is not None \
                 else seed_read(self.engine, read, self.params)
@@ -346,7 +327,7 @@ class ReadAligner:
                 rec = mapped_record(name, decode(read), quality,
                                     self.reference, strand, position,
                                     cigar, score, 0)
-                records.append(_replace(rec, flag=rec.flag | 0x100))
+                records.append(replace(rec, flag=rec.flag | 0x100))
         return records
 
     def _prepare_trace(self, read: np.ndarray, chain: Chain):

@@ -19,8 +19,9 @@ Two families come out of one accumulator set:
   so a vector run exposes the same aggregate counters a scalar run
   would;
 * **per-read columns** -- :meth:`read_counters` slices the same arrays
-  for one read, which is what the scheduler feeds through the exemplar
-  capture hooks so the reservoir/slowlog survive ``--kernels vector``.
+  for one read, which is what the scheduler's seed stage hands out as
+  exemplar counters so the reservoir/slowlog survive
+  ``--kernels vector``.
 
 Accumulation is unconditional (it is a handful of vector adds per wave
 round); only the flush consults the telemetry flag, so dark runs pay no

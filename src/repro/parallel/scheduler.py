@@ -50,7 +50,7 @@ import warnings
 from collections import deque
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pickle import PicklingError
 from typing import Any, Callable, Iterable, Iterator, Sequence, Tuple
 
@@ -63,7 +63,6 @@ from repro.extend.pipeline import ReadAligner
 from repro.extend.sam import SamRecord
 from repro.kernels import (
     KernelBatchStats,
-    batched_banded_sw,
     batched_sw_traceback,
     resolve_kernels,
     seed_batch,
@@ -82,7 +81,7 @@ from repro.parallel.faults import (
     default_retries,
 )
 from repro.parallel.shm import SharedIndexBuffer, attach_index
-from repro.seeding.algorithm import SeedingParams, seed_read
+from repro.seeding.algorithm import SeedingParams, SeedingResult, seed_read
 from repro.seeding.engine import EngineStats, SeedingEngine
 from repro.telemetry.progress import ProgressReporter
 
@@ -164,149 +163,112 @@ def default_workers() -> int:
 
 
 # ----------------------------------------------------------------------
-# Per-read exemplar capture
+# The seed stage
 # ----------------------------------------------------------------------
 #
-# Capture lives here, not inside seed_read()/align_sam(): the runners
-# are the one place that knows the read *name* (the exemplar identity)
-# and runs identically on the serial fast path and inside pool workers.
-# Each helper costs exactly one telemetry flag check when disabled and
-# never touches the payload, so output stays byte-identical with
-# exemplars on or off.
+# Every runner seeds its batch through this one stage; scalar and vector
+# are its two implementations.  Exemplar capture lives in the runners,
+# the one place that knows the read *names* and runs identically on the
+# serial fast path and inside pool workers; with telemetry disabled it
+# costs a flag check and never touches the payload.
 
 
-def _read_counter_delta(engine: SeedingEngine,
-                        before: "dict[str, int]") -> "dict[str, int]":
-    after = engine.stats.as_dict()
-    return {name: value - before.get(name, 0)
-            for name, value in after.items()}
+def _no_counters(i: int) -> "dict[str, int]":
+    return {}
 
 
-def instrumented_seed_read(engine: SeedingEngine, name: str, read: Any,
-                           params: SeedingParams) -> Any:
-    """``seed_read`` plus per-read exemplar capture: engine counter
-    deltas, seed/hit totals, and memsim bytes when a memory tracer is
-    attached to the engine's index (``ert-repro explain`` reuses this
-    exact helper, which is what makes its replayed counters comparable
-    to the recorded record field-for-field)."""
+@dataclass(frozen=True)
+class SeededBatch:
+    """One batch through the seed stage: the decoded ``reads`` and one
+    :class:`~repro.seeding.algorithm.SeedingResult` per read, in input
+    order.  Under an open read probe (``probe`` not ``None``) also each
+    read's exemplar counters (``counters(i)``, built lazily on the vector
+    path), its seed wall time (``seed_ms[i]``) and the records' backend
+    tag (``kernels``: ``"vector"``, or ``None`` for scalar)."""
+
+    reads: "list[Any]"
+    results: "list[SeedingResult]"
+    probe: "int | None" = None
+    seed_ms: "list[float]" = field(default_factory=list)
+    counters: "Callable[[int], dict[str, int]]" = _no_counters
+    kernels: "str | None" = None
+
+
+def seed_stage(engine: SeedingEngine, batch: ReadBatch,
+               params: SeedingParams,
+               kernels: "str | None" = None) -> SeededBatch:
+    """Seed a whole batch, through the batched kernels exactly when
+    ``kernels == "vector"`` and :func:`~repro.kernels.seeding.
+    vector_decline_reason` accepts the engine; a decline is counted once
+    per batch as ``kernels.fallback_scalar.<reason>``."""
+    reads = batch.reads()
+    engine.begin_batch(reads)
+    if kernels == "vector":
+        reason = vector_decline_reason(engine)
+        if reason is None:
+            return _seed_vector(engine, reads, params)
+        telemetry.count("kernels.fallback_scalar." + reason)
+    return _seed_scalar(engine, reads, params)
+
+
+def _seed_vector(engine: SeedingEngine, reads: "list[Any]",
+                 params: SeedingParams) -> SeededBatch:
+    """One ``seed_batch`` sweep.  Its hot loops are telemetry-free by
+    construction, so one probe brackets the batch: a read's counters are
+    its :class:`~repro.kernels.stats.KernelBatchStats` column and its
+    wall time is its work-weighted share of the batch."""
     probe = telemetry.read_probe()
     if probe is None:
-        return seed_read(engine, read, params)
-    before = engine.stats.as_dict()
-    tracer = getattr(getattr(engine, "index", None), "tracer", None)
-    bytes_before = tracer.total_bytes if tracer is not None else 0
-    result = seed_read(engine, read, params)
-    counters = _read_counter_delta(engine, before)
-    counters["seeds"] = len(result.all_seeds)
-    counters["seed_hits"] = sum(s.hit_count for s in result.all_seeds)
-    if tracer is not None:
-        counters["memsim_bytes"] = tracer.total_bytes - bytes_before
-    telemetry.record_read(probe, name, counters, task="seed")
-    return result
-
-
-def instrumented_seed_batch(engine: SeedingEngine,
-                            names: "Sequence[str]",
-                            reads: "Sequence[Any]",
-                            params: SeedingParams) -> "list[Any]":
-    """``seed_batch`` plus per-read exemplar capture derived from the
-    batch accumulators.
-
-    The vector sweep cannot probe per read (its hot loops are
-    telemetry-call-free by construction), so capture works the other way
-    around: one wall-clock probe brackets the whole batch, the kernels
-    count per-read work into a :class:`~repro.kernels.stats.
-    KernelBatchStats`, and afterwards each read gets an exemplar whose
-    counters are its accumulator column and whose wall time is its
-    work-weighted share of the batch.  Offers happen in input order, so
-    the reservoir/slowlog are reproducible at any worker count, same as
-    the scalar path.  Callers must have checked
-    :func:`~repro.kernels.seeding.vector_decline_reason` first.
-    """
-    probe = telemetry.read_probe()
-    if probe is None:
-        return seed_batch(engine, reads, params)
+        return SeededBatch(reads, seed_batch(engine, reads, params))
     stats = KernelBatchStats(len(reads))
     results = seed_batch(engine, reads, params, stats=stats)
     shares = stats.wall_shares(telemetry.probe_ms(probe)).tolist()
-
-    def make_counters(i: int) -> "dict[str, int]":
-        counters = stats.read_counters(i)
-        all_seeds = results[i].all_seeds
-        counters["seeds"] = len(all_seeds)
-        counters["seed_hits"] = sum(s.hit_count for s in all_seeds)
-        return counters
-
-    telemetry.record_reads(probe, list(names), shares, make_counters,
-                           task="seed", kernels="vector")
-    return results
+    return SeededBatch(reads, results, probe, shares, stats.read_counters,
+                       "vector")
 
 
-def instrumented_align_sam(aligner: ReadAligner, read: Any, name: str,
-                           quality: str,
-                           seeding: Any = None,
-                           seed_counters: "dict[str, int] | None" = None,
-                           seed_ms: float = 0.0) -> SamRecord:
-    """``ReadAligner.align_sam`` plus per-read exemplar capture (engine
-    deltas + the aligner's per-read extension stats: SW cells, seeds,
-    chains).
-
-    The vector path injects its precomputed ``seeding`` result together
-    with that read's kernel-counter column and wall-time share from the
-    batched seeding sweep (``seed_counters``/``seed_ms``); the exemplar
-    then covers seed+extend exactly like a scalar one and is tagged
-    ``kernels="vector"`` so ``ert-repro explain`` replays it through the
-    vector kernels.
-    """
+def _seed_scalar(engine: SeedingEngine, reads: "list[Any]",
+                 params: SeedingParams) -> SeededBatch:
+    """A ``seed_read`` loop.  Under a probe each read gets its engine
+    counter deltas, memsim bytes when a memory tracer is attached to the
+    engine's index, and its measured wall time."""
     probe = telemetry.read_probe()
     if probe is None:
-        return aligner.align_sam(read, name, quality, seeding=seeding)
-    before = aligner.engine.stats.as_dict()
-    record = aligner.align_sam(read, name, quality, seeding=seeding)
-    counters = _read_counter_delta(aligner.engine, before)
-    counters.update(aligner.read_stats)
-    if seed_counters is None:
-        telemetry.record_read(probe, name, counters, task="align")
-    else:
-        counters.update(seed_counters)
-        telemetry.record_read(probe, name, counters, task="align",
-                              wall_ms=telemetry.probe_ms(probe) + seed_ms,
-                              kernels="vector")
-    return record
-
-
-def instrumented_align_pair(paired: PairedAligner, read1: Any, read2: Any,
-                            name: str, quality1: str,
-                            quality2: str,
-                            seeding1: Any = None, seeding2: Any = None,
-                            seed_counters: "dict[str, int] | None" = None,
-                            seed_ms: float = 0.0) -> "list[SamRecord]":
-    """``PairedAligner.align_pair`` plus one exemplar per *pair* (the
-    scheduling unit of the paired path).  Vector-path parameters mirror
-    :func:`instrumented_align_sam`, with ``seed_counters``/``seed_ms``
-    already merged/summed over both mates."""
-    probe = telemetry.read_probe()
-    if probe is None:
-        return paired.align_pair(read1, read2, name, quality1, quality2,
-                                 seeding1=seeding1, seeding2=seeding2)
-    engine = paired.aligner.engine
-    before = engine.stats.as_dict()
-    records = paired.align_pair(read1, read2, name, quality1, quality2,
-                                seeding1=seeding1, seeding2=seeding2)
-    counters = _read_counter_delta(engine, before)
-    if seed_counters is None:
-        telemetry.record_read(probe, name, counters, task="align-pe")
-    else:
-        counters.update(seed_counters)
-        telemetry.record_read(probe, name, counters, task="align-pe",
-                              wall_ms=telemetry.probe_ms(probe) + seed_ms,
-                              kernels="vector")
-    return records
+        return SeededBatch(reads, [seed_read(engine, read, params)
+                                   for read in reads])
+    tracer = getattr(getattr(engine, "index", None), "tracer", None)
+    results: "list[SeedingResult]" = []
+    seed_ms: "list[float]" = []
+    counters: "list[dict[str, int]]" = []
+    for read in reads:
+        before = engine.stats.as_dict()
+        bytes_before = tracer.total_bytes if tracer is not None else 0
+        started = telemetry.read_probe()
+        results.append(seed_read(engine, read, params))
+        seed_ms.append(telemetry.probe_ms(started))
+        delta = {name: value - before.get(name, 0)
+                 for name, value in engine.stats.as_dict().items()}
+        if tracer is not None:
+            delta["memsim_bytes"] = tracer.total_bytes - bytes_before
+        counters.append(delta)
+    return SeededBatch(reads, results, probe, seed_ms, counters.__getitem__)
 
 
 # ----------------------------------------------------------------------
 # Per-batch task runners (constructed inside each worker)
 # ----------------------------------------------------------------------
+
+#: The extension stage's vector implementation: the batched wavefront
+#: traceback (scalar is the aligner's per-chain kernel).
+_TRACEBACK_KERNELS = {"vector": batched_sw_traceback}
+
+
+def _make_aligner(engine: SeedingEngine,
+                  options: "dict[str, Any]") -> ReadAligner:
+    return ReadAligner(
+        engine.index.reference,  # type: ignore[attr-defined]
+        engine, params=options.get("params"),
+        tb_batch=_TRACEBACK_KERNELS.get(options.get("kernels", "")))
 
 
 class _SeedRunner:
@@ -316,154 +278,98 @@ class _SeedRunner:
                  options: "dict[str, Any]") -> None:
         self.engine = engine
         self.params: SeedingParams = options["params"]
-        self.vector = options.get("kernels") == "vector"
+        self.kernels: "str | None" = options.get("kernels")
 
     def __call__(self, batch: ReadBatch) -> "list[str]":
-        engine = self.engine
-        reads = batch.reads()
-        engine.begin_batch(reads)
+        seeded = seed_stage(self.engine, batch, self.params, self.kernels)
         lines: "list[str]" = []
-        if self.vector:
-            reason = vector_decline_reason(engine)
-            if reason is None:
-                # Whole-batch vectorized walk through the instrumented
-                # wrapper, so the exemplar reservoir/slowlog survive
-                # vector mode; per-read results come back in input
-                # order, so the TSV stream is byte-identical.
-                for name, result in zip(
-                        batch.names,
-                        instrumented_seed_batch(engine, batch.names,
-                                                reads, self.params)):
-                    for seed in result.all_seeds:
-                        hits = ",".join(str(h) for h in seed.hits)
-                        lines.append(
-                            f"{name}\t{seed.read_start}\t{seed.length}"
-                            f"\t{seed.hit_count}\t{hits}\n")
-                return lines
-            telemetry.count("kernels.fallback_scalar." + reason)
-        for name, read in zip(batch.names, reads):
-            result = instrumented_seed_read(engine, name, read,
-                                            self.params)
+        for name, result in zip(batch.names, seeded.results):
             for seed in result.all_seeds:
                 hits = ",".join(str(h) for h in seed.hits)
                 lines.append(f"{name}\t{seed.read_start}\t{seed.length}"
                              f"\t{seed.hit_count}\t{hits}\n")
+
+        def counters(i: int) -> "dict[str, int]":
+            all_seeds = seeded.results[i].all_seeds
+            return dict(seeded.counters(i), seeds=len(all_seeds),
+                        seed_hits=sum(s.hit_count for s in all_seeds))
+
+        telemetry.record_reads(seeded.probe, list(batch.names),
+                               seeded.seed_ms, counters, task="seed",
+                               kernels=seeded.kernels)
         return lines
 
 
 class _AlignRunner:
-    """Single-end alignment to SAM records."""
+    """Single-end alignment to SAM records: the seed stage, then
+    per-read extension with the seeding injected."""
 
     def __init__(self, engine: SeedingEngine,
                  options: "dict[str, Any]") -> None:
-        reference = engine.index.reference  # type: ignore[attr-defined]
-        self.vector = options.get("kernels") == "vector"
-        self.aligner = ReadAligner(
-            reference, engine, params=options.get("params"),
-            sw_batch=batched_banded_sw if self.vector else None,
-            tb_batch=batched_sw_traceback if self.vector else None)
+        self.kernels: "str | None" = options.get("kernels")
+        self.aligner = _make_aligner(engine, options)
 
     def __call__(self, batch: ReadBatch) -> "list[SamRecord]":
-        reads = batch.reads()
-        engine = self.aligner.engine
-        engine.begin_batch(reads)
-        if self.vector:
-            reason = vector_decline_reason(engine)
-            if reason is None:
-                return self._vector_batch(batch, reads)
-            telemetry.count("kernels.fallback_scalar." + reason)
-        return [instrumented_align_sam(self.aligner, read, name, quality)
-                for name, quality, read
-                in zip(batch.names, batch.qualities, reads)]
-
-    def _vector_batch(self, batch: ReadBatch,
-                      reads: "list[Any]") -> "list[SamRecord]":
-        """Batched seeding, then per-read extension through the
-        instrumented wrapper -- each exemplar merges the read's kernel
-        counters and seed wall-time share from the batch sweep, so the
-        slowlog covers seed+extend exactly like the scalar path."""
-        engine = self.aligner.engine
-        probe = telemetry.read_probe()
-        if probe is None:
-            seeded = seed_batch(engine, reads, self.aligner.params)
-            return [self.aligner.align_sam(read, name, quality,
-                                           seeding=seeding)
-                    for name, quality, read, seeding
-                    in zip(batch.names, batch.qualities, reads, seeded)]
-        stats = KernelBatchStats(len(reads))
-        seeded = seed_batch(engine, reads, self.aligner.params,
-                            stats=stats)
-        shares = stats.wall_shares(telemetry.probe_ms(probe))
-        return [instrumented_align_sam(
-                    self.aligner, read, name, quality, seeding=seeding,
-                    seed_counters=stats.read_counters(i),
-                    seed_ms=float(shares[i]))
-                for i, (name, quality, read, seeding)
-                in enumerate(zip(batch.names, batch.qualities, reads,
-                                 seeded))]
+        aligner = self.aligner
+        seeded = seed_stage(aligner.engine, batch, aligner.params,
+                            self.kernels)
+        records: "list[SamRecord]" = []
+        extend_ms: "list[float]" = []
+        read_stats: "list[dict[str, int]]" = []
+        for name, quality, read, seeding in zip(
+                batch.names, batch.qualities, seeded.reads,
+                seeded.results):
+            probe = telemetry.read_probe()
+            records.append(aligner.align_sam(read, name, quality,
+                                             seeding=seeding))
+            extend_ms.append(telemetry.probe_ms(probe))
+            read_stats.append(aligner.read_stats)
+        telemetry.record_reads(
+            seeded.probe, list(batch.names),
+            [s + e for s, e in zip(seeded.seed_ms, extend_ms)],
+            lambda i: {**seeded.counters(i), **read_stats[i]},
+            task="align", kernels=seeded.kernels)
+        return records
 
 
 class _AlignPairsRunner:
-    """Paired-end alignment over interleaved (mate1, mate2) batches."""
+    """Paired-end alignment over interleaved (mate1, mate2) batches; one
+    exemplar per *pair*, the scheduling unit of the paired path."""
 
     def __init__(self, engine: SeedingEngine,
                  options: "dict[str, Any]") -> None:
-        reference = engine.index.reference  # type: ignore[attr-defined]
-        self.vector = options.get("kernels") == "vector"
-        self.paired = PairedAligner(
-            ReadAligner(reference, engine, params=options.get("params"),
-                        sw_batch=batched_banded_sw if self.vector
-                        else None,
-                        tb_batch=batched_sw_traceback if self.vector
-                        else None),
-            insert_mean=options["insert_mean"],
-            insert_sd=options["insert_sd"])
+        self.kernels: "str | None" = options.get("kernels")
+        self.paired = PairedAligner(_make_aligner(engine, options),
+                                    insert_mean=options["insert_mean"],
+                                    insert_sd=options["insert_sd"])
 
     def __call__(self, batch: ReadBatch) -> "list[SamRecord]":
-        reads = batch.reads()
-        engine = self.paired.aligner.engine
-        engine.begin_batch(reads)
-        seeded: "list[Any] | None" = None
-        stats: "KernelBatchStats | None" = None
-        shares: Any = None
-        if self.vector:
-            reason = vector_decline_reason(engine)
-            if reason is None:
-                probe = telemetry.read_probe()
-                if probe is None:
-                    seeded = seed_batch(engine, reads,
-                                        self.paired.aligner.params)
-                else:
-                    stats = KernelBatchStats(len(reads))
-                    seeded = seed_batch(engine, reads,
-                                        self.paired.aligner.params,
-                                        stats=stats)
-                    shares = stats.wall_shares(telemetry.probe_ms(probe))
-            else:
-                telemetry.count("kernels.fallback_scalar." + reason)
+        aligner = self.paired.aligner
+        seeded = seed_stage(aligner.engine, batch, aligner.params,
+                            self.kernels)
+        reads, results = seeded.reads, seeded.results
         records: "list[SamRecord]" = []
+        extend_ms: "list[float]" = []
+        names = [name.split("/")[0] for name in batch.names[0::2]]
         for i in range(0, len(reads), 2):
-            name = batch.names[i].split("/")[0]
-            if seeded is not None:
-                # One exemplar per pair, so the pair's seed counters are
-                # the sum of both mates' accumulator columns.
-                merged: "dict[str, int] | None" = None
-                seed_ms = 0.0
-                if stats is not None:
-                    first = stats.read_counters(i)
-                    second = stats.read_counters(i + 1)
-                    merged = {key: first[key] + second[key]
-                              for key in first}
-                    seed_ms = float(shares[i] + shares[i + 1])
-                records.extend(instrumented_align_pair(
-                    self.paired, reads[i], reads[i + 1], name,
-                    batch.qualities[i], batch.qualities[i + 1],
-                    seeding1=seeded[i], seeding2=seeded[i + 1],
-                    seed_counters=merged, seed_ms=seed_ms))
-                continue
-            records.extend(instrumented_align_pair(
-                self.paired, reads[i], reads[i + 1], name,
-                batch.qualities[i], batch.qualities[i + 1]))
+            probe = telemetry.read_probe()
+            records.extend(self.paired.align_pair(
+                reads[i], reads[i + 1], names[i // 2],
+                batch.qualities[i], batch.qualities[i + 1],
+                seeding1=results[i], seeding2=results[i + 1]))
+            extend_ms.append(telemetry.probe_ms(probe))
+
+        def counters(pair: int) -> "dict[str, int]":
+            first = seeded.counters(2 * pair)
+            second = seeded.counters(2 * pair + 1)
+            return {name: first.get(name, 0) + second.get(name, 0)
+                    for name in first.keys() | second.keys()}
+
+        telemetry.record_reads(
+            seeded.probe, names,
+            [a + b + e for a, b, e in zip(seeded.seed_ms[0::2],
+                                          seeded.seed_ms[1::2], extend_ms)],
+            counters, task="align-pe", kernels=seeded.kernels)
         return records
 
 

@@ -42,6 +42,32 @@ def test_index_stats(workspace, capsys):
     assert "hit distribution" in out
 
 
+def test_build_index_writes_exactly_the_given_path(workspace, tmp_path,
+                                                  capsys):
+    _root, ref, reads, _index = workspace
+    index = tmp_path / "g.ert"
+    assert main(["build-index", "--reference", str(ref), "--k", "5",
+                 "--max-seed-len", "100", "--out", str(index)]) == 0
+    assert f"saved to {index}" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.ert"]
+    assert main(["align", "--index", str(index), "--reads", str(reads),
+                 "--min-seed-len", "12",
+                 "--out", str(tmp_path / "out.sam")]) == 0
+
+
+@pytest.mark.parametrize("command", ["seed", "align", "index-stats"])
+def test_missing_index_exits_2_with_one_line(workspace, tmp_path, capsys,
+                                             command):
+    _root, _ref, reads, _index = workspace
+    missing = tmp_path / "nope.ert"
+    argv = [command, "--index", str(missing)]
+    if command != "index-stats":
+        argv += ["--reads", str(reads), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"ert-repro: error: index file not found: {missing}\n"
+
+
 def test_seed_tsv(workspace, capsys):
     root, _ref, reads, index = workspace
     out_path = root / "seeds.tsv"

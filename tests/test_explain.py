@@ -39,8 +39,21 @@ def workspace(tmp_path_factory, ert_index, reference):
     assert main(["align", "--index", index_path, "--reads", reads_path,
                  "--min-seed-len", "12", "--out", str(root / "o.sam"),
                  "--slowlog", align_log]) == 0
+    # One slowlog per (task, backend), batched so replays cross batch
+    # boundaries; 20 reads < the 64-record reservoir, so every read of
+    # every run is sampled.
+    logs = {}
+    for task, out in (("seed", "o.tsv"), ("align", "o.sam")):
+        for kernels in ("scalar", "vector"):
+            log = str(root / f"{task}.{kernels}.slowlog.jsonl")
+            assert main([task, "--index", index_path,
+                         "--reads", reads_path, "--min-seed-len", "12",
+                         "--out", str(root / f"{kernels}.{out}"),
+                         "--kernels", kernels, "--batch-size", "8",
+                         "--slowlog", log]) == 0
+            logs[task, kernels] = log
     return {"index": index_path, "reads": reads_path,
-            "seed_log": seed_log, "align_log": align_log}
+            "seed_log": seed_log, "align_log": align_log, "logs": logs}
 
 
 def _slow_entries(path):
@@ -72,6 +85,27 @@ def test_explain_reproduces_align_slowlog_counters(workspace, capsys):
     out = capsys.readouterr()
     assert code == 0, out.err
     assert "matches the slowlog record exactly" in out.err
+
+
+@pytest.mark.parametrize("kernels", ["scalar", "vector"])
+@pytest.mark.parametrize("task", ["seed", "align"])
+def test_explain_replays_every_reservoir_record(workspace, capsys, task,
+                                                kernels):
+    """Every sampled read replays to its recorded counters exactly,
+    through the backend its record names."""
+    log = workspace["logs"][task, kernels]
+    entries = _slow_entries(log)
+    assert len({e["read_id"] for e in entries}) == 20
+    for entry in entries:
+        assert entry["task"] == task
+        assert entry.get("kernels", "scalar") == kernels
+        code = main(["explain", "--index", workspace["index"],
+                     "--reads", workspace["reads"],
+                     "--read-id", entry["read_id"], "--task", task,
+                     "--min-seed-len", "12", "--slowlog", log])
+        out = capsys.readouterr()
+        assert code == 0, (entry["read_id"], out.err)
+        assert f"{kernels} kernels" in out.out
 
 
 def test_explain_json_output_carries_the_counters(workspace, capsys):

@@ -326,6 +326,19 @@ def test_observed_vector_pairs_identity_three_workers(ert_index, reads,
                for rec in exemplars["reservoir"])
 
 
+def _observed_vector_batch(engine, names, reads, params):
+    """One batch through the scheduler's seed stage on the vector
+    kernels, its per-read exemplars captured as the seed runner does."""
+    from repro.parallel import pack_batch
+    from repro.parallel.scheduler import seed_stage
+
+    seeded = seed_stage(engine, pack_batch(reads), params, "vector")
+    assert seeded.kernels == "vector"
+    telemetry.record_reads(seeded.probe, list(names), seeded.seed_ms,
+                           seeded.counters, task="seed",
+                           kernels=seeded.kernels)
+
+
 def test_vector_counter_totals_match_exemplar_columns(ert_index, reference,
                                                       params):
     """Registry totals equal the sum of the per-read exemplar counters.
@@ -337,7 +350,6 @@ def test_vector_counter_totals_match_exemplar_columns(ert_index, reference,
     are stripped from exemplar records, hence the ``.get(..., 0)``.
     """
     from repro.kernels.stats import PER_READ_COUNTERS
-    from repro.parallel.scheduler import instrumented_seed_batch
 
     rng = np.random.default_rng(99)
     fuzz = _fuzz_reads(reference, rng, 48)
@@ -346,7 +358,7 @@ def test_vector_counter_totals_match_exemplar_columns(ert_index, reference,
     telemetry.reset()
     telemetry.enable()
     try:
-        instrumented_seed_batch(engine, names, fuzz, params)
+        _observed_vector_batch(engine, names, fuzz, params)
         snap = telemetry.snapshot()
     finally:
         telemetry.disable()
@@ -366,7 +378,7 @@ def test_vector_counter_totals_match_exemplar_columns(ert_index, reference,
         telemetry.reset()
         telemetry.enable()
         try:
-            instrumented_seed_batch(single, [names[i]], [fuzz[i]], params)
+            _observed_vector_batch(single, [names[i]], [fuzz[i]], params)
             alone = telemetry.snapshot()["exemplars"]["reservoir"][0]
         finally:
             telemetry.disable()

@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     ErtConfig,
     ErtSeedingEngine,
+    LayoutPolicy,
     build_ert,
     decode_tree,
     encode_tree,
@@ -13,7 +14,7 @@ from repro.core import (
     save_ert,
     trees_equal,
 )
-from repro.core.io import IndexFormatError, _blob_size
+from repro.core.io import IndexFormatError, _blob_sizes
 from repro.core.layout import node_size
 from repro.core.nodes import DivergeNode, LeafNode, UniformNode
 from repro.core.serialize import SerializeError, _decode_node
@@ -36,9 +37,9 @@ def index(ref, request):
 
 def test_every_tree_roundtrips(index):
     pm = index.config.prefix_merging
+    blob_sizes = _blob_sizes(index)
     for code, root in index.roots.items():
-        blob_size = _blob_size(index, code)
-        blob = encode_tree(root, blob_size, pm)
+        blob = encode_tree(root, blob_sizes[code], pm)
         back = decode_tree(blob, root.offset)
         assert trees_equal(root, back, check_prefix=pm), code
 
@@ -47,7 +48,7 @@ def test_decoded_sizes_match_size_model(index):
     pm = index.config.prefix_merging
     code = max(index.roots, key=lambda c: index.kmer_count[c])
     root = index.roots[code]
-    blob = encode_tree(root, _blob_size(index, code), pm)
+    blob = encode_tree(root, _blob_sizes(index)[code], pm)
     stack = [decode_tree(blob, root.offset)]
     while stack:
         node = stack.pop()
@@ -56,12 +57,32 @@ def test_decoded_sizes_match_size_model(index):
         stack.extend(node.children_nodes())
 
 
+@pytest.mark.parametrize("layout", list(LayoutPolicy),
+                         ids=lambda policy: policy.value)
+def test_blob_sizes_match_brute_force_next_base(ref, layout):
+    """Each tree's blob runs from its base to the next larger base (the
+    region end for the last); the one-pass sizes agree with a direct
+    scan for every layout policy."""
+    index = build_ert(ref, ErtConfig(k=5, max_seed_len=80,
+                                     table_threshold=24, table_x=2,
+                                     layout=layout))
+    bases = list(index.tree_base.values())
+    expected = {}
+    for code, base in index.tree_base.items():
+        larger = [b for b in bases if b > base]
+        end = min(larger) if larger else index.trees_region.size
+        expected[code] = end - base
+    assert len(expected) > 100
+    assert _blob_sizes(index) == expected
+
+
 def test_prefix_chars_survive_roundtrip(ref):
     index = build_ert(ref, ErtConfig(k=5, max_seed_len=80,
                                      prefix_merging=True))
     checked = 0
+    blob_sizes = _blob_sizes(index)
     for code, root in index.roots.items():
-        blob = encode_tree(root, _blob_size(index, code), True)
+        blob = encode_tree(root, blob_sizes[code], True)
         back = decode_tree(blob, root.offset)
         stack_a, stack_b = [root], [back]
         while stack_a:
