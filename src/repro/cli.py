@@ -4,7 +4,7 @@
 align many times):
 
 * ``simulate-genome`` / ``simulate-reads`` -- produce FASTA/FASTQ inputs;
-* ``build-index``  -- construct an ERT and persist it (.npz);
+* ``build-index``  -- construct an ERT and persist it (``ERTBUF01``);
 * ``index-stats``  -- census of a persisted index (Fig 8 / §III-A3 data);
 * ``seed``         -- three-round seeding, one TSV line per seed;
 * ``align``        -- full pipeline to SAM;
@@ -67,6 +67,7 @@ from repro.core import (
     load_ert,
     save_ert,
 )
+from repro.core.io import IndexFormatError
 from repro.extend import write_sam
 from repro.kernels import KERNEL_CHOICES, resolve_kernels
 from repro.parallel import (
@@ -355,6 +356,17 @@ def _telemetry_begin(args) -> bool:
     return active
 
 
+def _telemetry_abort(args) -> None:
+    """Undo :func:`_telemetry_begin` for a command cut short by a usage
+    error, so an in-process caller is left as it was."""
+    if args.profile or args.metrics_out or args.slowlog:
+        telemetry.disable()
+    if args.log_jsonl:
+        repro_logging.shutdown()
+    if args.trace_out:
+        telemetry.stop_recording()
+
+
 def _write_slowlog(path, exemplars: dict) -> None:
     """Append the sampled exemplar records as JSONL, slowlog entries
     first (they are what ``explain`` cross-checks against)."""
@@ -504,7 +516,8 @@ class _UsageError(Exception):
 def load_index_cached(path):
     """Load a persisted ERT, reusing the in-process copy while the file
     is unchanged (same resolved path, inode, size, mtime and first/last
-    page content).  A missing file raises :class:`_UsageError`."""
+    page content).  A missing file, or one that is not an index, raises
+    :class:`_UsageError`."""
     if not os.path.isfile(path):
         raise _UsageError(f"index file not found: {path}")
     stat = os.stat(path)
@@ -513,16 +526,20 @@ def load_index_cached(path):
     index = _INDEX_CACHE.get(key)
     if index is None:
         _INDEX_CACHE.clear()
-        index = _INDEX_CACHE.setdefault(key, load_ert(path))
+        try:
+            index = _INDEX_CACHE.setdefault(key, load_ert(path))
+        except IndexFormatError as exc:
+            raise _UsageError(f"{path} is not a readable ERT index ({exc}); "
+                              f"rebuild it with build-index") from exc
     return index
 
 
 def _cmd_seed(args) -> int:
+    active = _telemetry_begin(args)
     index = load_index_cached(args.index)
     reads = read_fastq(args.reads)
     params = SeedingParams(min_seed_len=args.min_seed_len,
                            max_hits_per_seed=args.max_hits)
-    active = _telemetry_begin(args)
     reporter = _make_reporter(args, len(reads))
     lines, stats = seed_reads(index, reads, params,
                               config=_parallel_config(args),
@@ -551,10 +568,10 @@ def _cmd_seed(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    active = _telemetry_begin(args)
     index = load_index_cached(args.index)
     reference = index.reference
     reads = read_fastq(args.reads)
-    active = _telemetry_begin(args)
     reporter = _make_reporter(args, len(reads))
     records, _stats = align_reads(
         index, reads, SeedingParams(min_seed_len=args.min_seed_len),
@@ -570,12 +587,12 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_align_pe(args) -> int:
+    active = _telemetry_begin(args)
     index = load_index_cached(args.index)
     reference = index.reference
     reads = read_fastq(args.reads)
     if len(reads) % 2:
         raise SystemExit("interleaved FASTQ must hold an even read count")
-    active = _telemetry_begin(args)
     reporter = _make_reporter(args, len(reads))
     records, _stats = align_pairs(
         index, reads, SeedingParams(min_seed_len=args.min_seed_len),
@@ -785,6 +802,8 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
+        if "profile" in args:  # the command may have started telemetry
+            _telemetry_abort(args)
         print(f"ert-repro: error: {exc}", file=sys.stderr)
         return 2
 

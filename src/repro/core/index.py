@@ -96,6 +96,9 @@ class ErtIndex:
         self.layout_stats = layout_stats
         self.tracer: "MemoryTracer | None" = None
         self.reuse_cache: "CacheModel | None" = None
+        #: The ``ERTBUF01`` frame this index was opened from (set by
+        #: :func:`repro.core.io.index_from_buffer`); republished as-is.
+        self.frame: "bytes | memoryview | None" = None
 
         self.space = space or AddressSpace()
         cfg = config

@@ -1,13 +1,14 @@
 """Zero-copy index sharing via ``multiprocessing.shared_memory``.
 
-The parent serializes a built :class:`~repro.core.index.ErtIndex` once
-with :func:`repro.core.io.index_to_buffer` and places the flat payload in
-a POSIX shared-memory segment.  Each worker process then *attaches* the
-segment by name and opens it with :func:`repro.core.io.index_from_buffer`
--- every numpy array of the reconstructed index is a read-only view
-straight into the segment, so N workers share one physical copy of the
-entry table, tree blobs and packed reference (the software analogue of
-the paper's 64 seeding lanes hitting one ERT, §IV).
+The parent places the index's ``ERTBUF01`` frame (from
+:func:`repro.core.io.index_to_buffer`: the loaded file bytes, or one
+encode of a freshly built index) in a POSIX shared-memory segment.
+Each worker process then *attaches* the segment by name and opens it
+with :func:`repro.core.io.index_from_buffer` -- every numpy array of the
+reconstructed index is a read-only view straight into the segment, so N
+workers share one physical copy of the entry table, tree blobs and
+packed reference (the software analogue of the paper's 64 seeding lanes
+hitting one ERT, §IV).
 
 Lifecycle contract (enforced mechanically by checker rule ERT008): only
 this package constructs ``SharedMemory`` objects.  The parent owns the

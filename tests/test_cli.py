@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.cli import build_parser, main
 
 
@@ -55,17 +56,29 @@ def test_build_index_writes_exactly_the_given_path(workspace, tmp_path,
                  "--out", str(tmp_path / "out.sam")]) == 0
 
 
+@pytest.mark.parametrize("bad", ["missing", "fasta", "truncated"])
 @pytest.mark.parametrize("command", ["seed", "align", "index-stats"])
 def test_missing_index_exits_2_with_one_line(workspace, tmp_path, capsys,
-                                             command):
-    _root, _ref, reads, _index = workspace
-    missing = tmp_path / "nope.ert"
-    argv = [command, "--index", str(missing)]
+                                             command, bad):
+    _root, ref, reads, index = workspace
+    path = {"missing": tmp_path / "nope.ert", "fasta": ref,
+            "truncated": tmp_path / "cut.ert"}[bad]
+    if bad == "truncated":
+        path.write_bytes(index.read_bytes()[:1000])
+    argv = [command, "--index", str(path)]
     if command != "index-stats":
-        argv += ["--reads", str(reads), "--out", str(tmp_path / "o")]
+        argv += ["--reads", str(reads), "--out", str(tmp_path / "o"),
+                 "--profile"]
     assert main(argv) == 2
+    assert not telemetry.enabled()
     err = capsys.readouterr().err
-    assert err == f"ert-repro: error: index file not found: {missing}\n"
+    if bad == "missing":
+        assert err == f"ert-repro: error: index file not found: {path}\n"
+    else:
+        assert err.startswith(
+            f"ert-repro: error: {path} is not a readable ERT index (")
+        assert err.endswith("; rebuild it with build-index\n")
+        assert err.count("\n") == 1
 
 
 def test_seed_tsv(workspace, capsys):

@@ -1,5 +1,7 @@
 """Round-trip tests for the binary node format and the on-disk index."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from repro.core import (
     save_ert,
     trees_equal,
 )
-from repro.core.io import IndexFormatError, _blob_sizes
+from repro.core import io as io_mod
+from repro.core.io import IndexFormatError, _blob_sizes, index_to_buffer
 from repro.core.layout import node_size
 from repro.core.nodes import DivergeNode, LeafNode, UniformNode
 from repro.core.serialize import SerializeError, _decode_node
@@ -158,15 +161,48 @@ def test_loaded_index_seeds_identically(tmp_path, ref, index):
 
 
 def test_load_rejects_future_format(tmp_path, index):
-    import json
-    path = tmp_path / "index.npz"
+    path = tmp_path / "index.ert"
     save_ert(index, path)
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    meta = json.loads(bytes(arrays["meta_json"].tobytes()).decode())
-    meta["format_version"] = 999
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(),
-                                        dtype=np.uint8)
-    np.savez(path, **arrays)
+    frame = path.read_bytes()
+    current = b'"format_version": 1'
+    assert frame.count(current) == 1
+    # Same length, so only the version gate can reject it.
+    path.write_bytes(frame.replace(current, b'"format_version": 9'))
     with pytest.raises(IndexFormatError):
         load_ert(path)
+
+
+@pytest.mark.parametrize("cut", ["magic", "directory", "last-array"])
+def test_load_rejects_truncated_frame(tmp_path, index, cut):
+    path = tmp_path / "index.ert"
+    save_ert(index, path)
+    frame = path.read_bytes()
+    header_len = int.from_bytes(frame[8:16], "little")
+    last = max(json.loads(frame[16:16 + header_len])["arrays"],
+               key=lambda spec: spec["offset"])
+    last_nbytes = (np.dtype(last["dtype"]).itemsize
+                   * int(np.prod(last["shape"])))
+    size = {"magic": 5,
+            "directory": 16 + header_len // 2,
+            "last-array": last["offset"] + last_nbytes // 2}[cut]
+    path.write_bytes(frame[:size])
+    with pytest.raises(IndexFormatError):
+        load_ert(path)
+
+
+def test_saved_file_is_the_frame(tmp_path, index):
+    path = tmp_path / "index.ert"
+    save_ert(index, path)
+    assert path.read_bytes() == index_to_buffer(index)
+
+
+def test_loaded_index_republishes_its_frame(tmp_path, index, monkeypatch):
+    path = tmp_path / "index.ert"
+    save_ert(index, path)
+
+    def no_encode(_index):
+        raise AssertionError("a loaded index was re-encoded")
+
+    loaded = load_ert(path)
+    monkeypatch.setattr(io_mod, "_encode_trees", no_encode)
+    assert index_to_buffer(loaded) == path.read_bytes()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import telemetry
+from repro import cli, telemetry
 from repro.cli import main
 from repro.kernels import resolve_kernels
 
@@ -55,9 +55,13 @@ def test_seed_metrics_out_writes_valid_json(workspace, tmp_path):
     assert not telemetry.enabled()
 
 
-def test_align_profile_prints_stage_table(workspace, tmp_path, capsys):
+def test_align_profile_prints_stage_table(workspace, tmp_path, capsys,
+                                         monkeypatch):
     _root, reads, index = workspace
     metrics = tmp_path / "metrics.json"
+    # A fresh process: the index is read from disk, not the in-process
+    # cache, so its load shows up in the profile.
+    monkeypatch.setattr(cli, "_INDEX_CACHE", {})
     assert main(["align", "--index", str(index), "--reads", str(reads),
                  "--min-seed-len", "12", "--out", str(tmp_path / "o.sam"),
                  "--profile", "--metrics-out", str(metrics)]) == 0
@@ -76,6 +80,8 @@ def test_align_profile_prints_stage_table(workspace, tmp_path, capsys):
                       snap["spans"].items()
                       if path.count("/") == 1 and path.startswith("align/"))
     assert child_total <= root_total + 1e-9
+    assert snap["spans"]["index.load"]["count"] == 1
+    assert "index.load" in out
     assert snap["counters"]["align.reads"] == 10
     assert snap["counters"]["seeding.index_lookups"] > 0
 
